@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace vb::arena {
 
@@ -89,27 +90,40 @@ bool AdmissionController::offer(const VcRequest& req) {
   b.n_vms = req.n_vms;
   b.shape = req.shape;
   b.outcome = std::move(o);
-  active_.emplace(req.id, std::move(b));
+  activate(std::move(b));
   return true;
 }
 
+void AdmissionController::activate(ActiveBundle b) {
+  const std::pair<double, std::uint64_t> key{b.depart_s, b.request_id};
+  if (active_.emplace(b.request_id, std::move(b)).second) {
+    departures_.insert(key);
+  }
+  check_index();
+}
+
+void AdmissionController::check_index() const {
+  if (departures_.size() != active_.size()) {
+    throw std::logic_error(
+        "AdmissionController: departure index has " +
+        std::to_string(departures_.size()) + " keys for " +
+        std::to_string(active_.size()) + " live bundles");
+  }
+}
+
 double AdmissionController::next_departure() const {
-  double t = std::numeric_limits<double>::infinity();
-  for (const auto& [id, b] : active_) t = std::min(t, b.depart_s);
-  return t;
+  return departures_.empty() ? std::numeric_limits<double>::infinity()
+                             : departures_.begin()->first;
 }
 
 int AdmissionController::process_departures(double now, double retry_s) {
+  // Snapshot the due prefix first: deferrals re-key bundles (always past
+  // `now`), so the set must not be walked while it changes.
   std::vector<std::uint64_t> due;
-  for (const auto& [id, b] : active_) {
-    if (b.depart_s <= now) due.push_back(id);
+  for (auto it = departures_.begin();
+       it != departures_.end() && it->first <= now; ++it) {
+    due.push_back(it->second);
   }
-  std::sort(due.begin(), due.end(), [&](std::uint64_t a, std::uint64_t b) {
-    const ActiveBundle& ba = active_.at(a);
-    const ActiveBundle& bb = active_.at(b);
-    if (ba.depart_s != bb.depart_s) return ba.depart_s < bb.depart_s;
-    return a < b;
-  });
   int done = 0;
   for (std::uint64_t id : due) {
     ActiveBundle& b = active_.at(id);
@@ -123,7 +137,9 @@ int AdmissionController::process_departures(double now, double retry_s) {
     if (migrating) {
       // The shuffler has this bundle's VM on the wire; destroying it now
       // would corrupt the migration.  Come back shortly.
+      departures_.erase({b.depart_s, id});
       b.depart_s = now + retry_s;
+      departures_.emplace(b.depart_s, id);
       continue;
     }
     for (host::VmId v : b.outcome.vms) {
@@ -131,9 +147,11 @@ int AdmissionController::process_departures(double now, double retry_s) {
       cloud_->shutdown_vm(v);
     }
     embedder_->release(b.outcome);
+    departures_.erase({b.depart_s, id});
     active_.erase(id);
     ++done;
   }
+  check_index();
   return done;
 }
 
@@ -300,7 +318,7 @@ void AdmissionController::ckpt_restore(ckpt::Reader& r) {
       }
     }
     embedder_->reacquire(b.outcome);
-    active_.emplace(b.request_id, std::move(b));
+    activate(std::move(b));
   }
   r.exit_section();
 

@@ -15,7 +15,9 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "arena/embedder.h"
@@ -91,12 +93,13 @@ class AdmissionController {
   /// the horizon) times N times (VM rate + B * bandwidth rate).
   double price(const VcRequest& req) const;
 
-  /// Earliest pending departure time; +inf when nothing is due.
+  /// Earliest pending departure time; +inf when nothing is due.  O(1).
   double next_departure() const;
 
   /// Destroys every bundle due at or before `now` (in (depart, id) order).
   /// A bundle with a VM mid-migration is deferred by `retry_s` and picked
-  /// up on a later call.  Returns how many bundles departed.
+  /// up on a later call.  Returns how many bundles departed.  Costs
+  /// O(log A) per bundle it touches, never a scan of the live set.
   int process_departures(double now, double retry_s = 1.0);
 
   /// Swaps the embedder (closed-world phases use different placers against
@@ -129,6 +132,10 @@ class AdmissionController {
 
  private:
   host::CustomerId customer_for(const std::string& tenant);
+  /// Adds a bundle to `active_` and its key to `departures_`.
+  void activate(ActiveBundle b);
+  /// Throws std::logic_error if the index and `active_` disagree in size.
+  void check_index() const;
 
   core::VBundleCloud* cloud_;
   Embedder* embedder_;
@@ -137,6 +144,10 @@ class AdmissionController {
   AdmissionStats stats_;
   std::map<std::string, host::CustomerId> customer_ids_;
   std::map<std::uint64_t, ActiveBundle> active_;
+  /// Departure agenda over `active_`: one (depart_s, request_id) key per
+  /// live bundle.  Its order is the (depart, id) teardown order, so the next
+  /// departure is begin() and the due bundles are a prefix.
+  std::set<std::pair<double, std::uint64_t>> departures_;
   std::map<std::string, TenantStats> tenants_;
   std::map<std::string, std::vector<host::VmId>> placed_;
 };

@@ -7,32 +7,54 @@ namespace vb::ckpt {
 
 namespace {
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> t{};
+// Slicing-by-8 tables: t[0] is the classic bytewise table; t[k][b] is the
+// CRC of byte b followed by k zero bytes, so eight table lookups advance
+// the CRC over eight input bytes at once.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+CrcTables make_crc_tables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    t[i] = c;
+    t[0][i] = c;
+  }
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
   }
   return t;
 }
 
-const std::array<std::uint32_t, 256>& crc_table() {
-  static const std::array<std::uint32_t, 256> t = make_crc_table();
+const CrcTables& crc_tables() {
+  static const CrcTables t = make_crc_tables();
   return t;
+}
+
+std::uint32_t load_le32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
 }
 
 }  // namespace
 
 std::uint32_t crc32(const void* data, std::size_t n, std::uint32_t crc) {
   const auto* p = static_cast<const std::uint8_t*>(data);
-  const auto& tab = crc_table();
+  const CrcTables& t = crc_tables();
   std::uint32_t c = crc ^ 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < n; ++i) {
-    c = tab[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+  for (; n >= 8; n -= 8, p += 8) {
+    const std::uint32_t lo = load_le32(p) ^ c;
+    const std::uint32_t hi = load_le32(p + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^ t[5][(lo >> 16) & 0xFFu] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
+        t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
   }
+  for (; n > 0; --n, ++p) c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 

@@ -226,7 +226,7 @@ void PastryNetwork::bootstrap_bulk(std::vector<BulkFleetEntry> fleet) {
     Entry e;
     e.node = std::make_unique<PastryNode>(NodeHandle{f.id, f.host}, this);
     ring.push_back(e.node.get());
-    nodes_.emplace(f.id, std::move(e));
+    emplace_node(f.id, f.host, std::move(e));
   }
 
   fill_leaves(ring);

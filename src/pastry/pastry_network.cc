@@ -88,6 +88,34 @@ PastryNetwork::Entry& PastryNetwork::entry_of(const U128& id) {
   return it->second;
 }
 
+PastryNetwork::Entry& PastryNetwork::entry_of(const NodeHandle& n) {
+  Entry* e = lookup(n.id, n.host);
+  if (e == nullptr) {
+    throw std::out_of_range("PastryNetwork: unknown node " + n.id.short_hex());
+  }
+  return *e;
+}
+
+PastryNetwork::Entry* PastryNetwork::lookup(const U128& id, net::HostId host) {
+  if (host >= 0 && static_cast<std::size_t>(host) < by_host_.size()) {
+    const HostSlot& slot = by_host_[static_cast<std::size_t>(host)];
+    if (slot.entry != nullptr && slot.id == id) return slot.entry;
+  }
+  auto it = nodes_.find(id);
+  return it == nodes_.end() ? nullptr : &it->second;
+}
+
+PastryNetwork::Entry& PastryNetwork::emplace_node(const U128& id,
+                                                  net::HostId host, Entry e) {
+  Entry& placed = nodes_.emplace(id, std::move(e)).first->second;
+  if (host >= 0) {
+    const auto h = static_cast<std::size_t>(host);
+    if (h >= by_host_.size()) by_host_.resize(h + 1);
+    by_host_[h] = HostSlot{id, &placed};
+  }
+  return placed;
+}
+
 PastryNode& PastryNetwork::add_node_oracle(const U128& id, net::HostId host) {
   if (nodes_.contains(id)) {
     throw std::invalid_argument("PastryNetwork: duplicate id " + id.short_hex());
@@ -95,7 +123,7 @@ PastryNode& PastryNetwork::add_node_oracle(const U128& id, net::HostId host) {
   Entry e;
   e.node = std::make_unique<PastryNode>(NodeHandle{id, host}, this);
   PastryNode& fresh = *e.node;
-  nodes_.emplace(id, std::move(e));
+  emplace_node(id, host, std::move(e));
   for (auto& [other_id, other] : nodes_) {
     if (other_id == id || !other.alive) continue;
     other.node->learn(fresh.handle());
@@ -112,7 +140,7 @@ PastryNode& PastryNetwork::add_node_join(const U128& id, net::HostId host,
   Entry e;
   e.node = std::make_unique<PastryNode>(NodeHandle{id, host}, this);
   PastryNode& fresh = *e.node;
-  nodes_.emplace(id, std::move(e));
+  emplace_node(id, host, std::move(e));
   if (bootstrap.valid()) fresh.begin_join(bootstrap);
   return fresh;
 }
@@ -216,7 +244,7 @@ sim::FaultDecision PastryNetwork::consult_fault_plan(const NodeHandle& from,
 
 void PastryNetwork::send_route(const NodeHandle& from, const NodeHandle& to,
                                RouteMsg msg) {
-  Entry& sender = entry_of(from.id);
+  Entry& sender = entry_of(from);
   // A dead node's pending timers can still fire; their sends go nowhere.
   if (!sender.alive) return;
   sender.counters.add(msg.category,
@@ -240,8 +268,8 @@ void PastryNetwork::send_route(const NodeHandle& from, const NodeHandle& to,
   // inline buffer — see the static_assert below.
   auto deliver = [this, from_id, to_handle](RouteMsg m) mutable {
     wire_dec(to_handle.host);  // this copy is off the wire, whatever happens
-    auto it = nodes_.find(to_handle.id);
-    if (it == nodes_.end() || !it->second.alive) {
+    Entry* dst = lookup(to_handle.id, to_handle.host);
+    if (dst == nullptr || !dst->alive) {
       // Destination dead: surface the failure to the sender after a
       // timeout-like delay (one more latency unit).
       auto sit = nodes_.find(from_id);
@@ -267,7 +295,7 @@ void PastryNetwork::send_route(const NodeHandle& from, const NodeHandle& to,
       snode.handle_send_failure(to_handle, &m);
       return;
     }
-    it->second.node->handle_route_msg(std::move(m));
+    dst->node->handle_route_msg(std::move(m));
   };
   bool cross = runner_ != nullptr && shard_of(from.host) != shard_of(to.host);
   if (fault.duplicate) {
@@ -305,7 +333,7 @@ void PastryNetwork::send_route(const NodeHandle& from, const NodeHandle& to,
 
 void PastryNetwork::send_direct(const NodeHandle& from, const NodeHandle& to,
                                 PayloadPtr payload, MsgCategory category) {
-  Entry& sender = entry_of(from.id);
+  Entry& sender = entry_of(from);
   if (!sender.alive) return;
   sender.counters.add(category, payload ? payload->wire_bytes() : 16);
   sim::Simulator& src_sim = simulator_for(from.host);
@@ -330,11 +358,11 @@ void PastryNetwork::send_direct(const NodeHandle& from, const NodeHandle& to,
   auto deliver = [this, from_id, to_id, from_handle, to_handle,
                   p = std::move(payload), category]() {
     wire_dec(to_handle.host);  // this copy is off the wire, whatever happens
-    auto it = nodes_.find(to_id);
-    if (it == nodes_.end() || !it->second.alive) {
-      auto sit = nodes_.find(from_id);
-      if (sit == nodes_.end() || !sit->second.alive) return;
-      PastryNode& snode = *sit->second.node;
+    Entry* dst = lookup(to_id, to_handle.host);
+    if (dst == nullptr || !dst->alive) {
+      Entry* src = lookup(from_id, from_handle.host);
+      if (src == nullptr || !src->alive) return;
+      PastryNode& snode = *src->node;
       if (runner_ != nullptr &&
           shard_of(snode.handle().host) != vb::current_shard()) {
         wire_inc(snode.handle().host);
@@ -353,7 +381,7 @@ void PastryNetwork::send_direct(const NodeHandle& from, const NodeHandle& to,
       snode.handle_send_failure(to_handle, nullptr);
       return;
     }
-    it->second.node->handle_direct_msg(from_handle, p, category);
+    dst->node->handle_direct_msg(from_handle, p, category);
   };
   bool cross = runner_ != nullptr && shard_of(from.host) != shard_of(to.host);
   if (fault.duplicate) {

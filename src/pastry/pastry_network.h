@@ -226,6 +226,15 @@ class PastryNetwork {
   };
 
   Entry& entry_of(const U128& id);
+  /// entry_of through the host slot; throws on an unknown node.
+  Entry& entry_of(const NodeHandle& n);
+  /// The entry of node `id`, tried first in the slot of `host` (the host
+  /// the caller believes it runs on), then in the id-ordered map; nullptr
+  /// if no such node exists.  O(1) on a hit.
+  Entry* lookup(const U128& id, net::HostId host);
+  /// Adds a node's entry to nodes_ and makes it its host's slot holder.
+  /// Every node creation goes through here.
+  Entry& emplace_node(const U128& id, net::HostId host, Entry e);
 
   /// Consults the fault plan (if any) for one message from→to.  Returns the
   /// default no-fault decision when no plan is attached.  `sender` supplies
@@ -251,6 +260,15 @@ class PastryNetwork {
   sim::Simulator* sim_;
   const net::Topology* topo_;
   std::map<U128, Entry> nodes_;  // ordered: gives ring order for oracle ops
+  /// Host-indexed shortcut into nodes_ for the transport's per-message
+  /// lookups: the node most recently created on each host.  Map nodes never
+  /// move and are never erased (dead nodes stay, flagged), so the pointers
+  /// stay valid.
+  struct HostSlot {
+    U128 id;
+    Entry* entry = nullptr;
+  };
+  std::vector<HostSlot> by_host_;
   sim::FaultPlan* fault_plan_ = nullptr;
   obs::TraceRecorder* trace_ = nullptr;
   sim::ParallelRunner* runner_ = nullptr;  // non-null = sharded mode

@@ -308,26 +308,31 @@ void ScribeNode::disseminate(const GroupId& group, const PayloadPtr& inner,
 
 void ScribeNode::push_neighbors(WalkMsg& walk, const GroupState& st) const {
   const net::Topology& topo = owner_->network().topology();
-  std::vector<NodeHandle> candidates;
-  for (const NodeHandle& c : st.children) candidates.push_back(c);
-  if (st.attached && st.parent.valid() && !st.root) {
-    candidates.push_back(st.parent);
-  }
-  auto visited = [&walk](const NodeHandle& n) {
-    return std::find(walk.visited.begin(), walk.visited.end(), n.id) !=
-           walk.visited.end();
+  // Each unvisited tree neighbour, keyed once by its proximity to the origin.
+  struct Ranked {
+    int proximity;
+    NodeHandle node;
   };
-  std::erase_if(candidates, visited);
+  std::vector<Ranked> ranked;
+  auto consider = [&](const NodeHandle& n) {
+    if (std::find(walk.visited.begin(), walk.visited.end(), n.id) !=
+        walk.visited.end()) {
+      return;
+    }
+    ranked.push_back(
+        {static_cast<int>(topo.proximity(walk.origin.host, n.host)), n});
+  };
+  for (const NodeHandle& c : st.children) consider(c);
+  if (st.attached && st.parent.valid() && !st.root) consider(st.parent);
   // Sort so the candidate closest to the origin ends up on top of the stack
   // (v-Bundle prefers topologically close receivers, §III.C step 2).
-  std::sort(candidates.begin(), candidates.end(),
-            [&](const NodeHandle& a, const NodeHandle& b) {
-              auto pa = static_cast<int>(topo.proximity(walk.origin.host, a.host));
-              auto pb = static_cast<int>(topo.proximity(walk.origin.host, b.host));
-              if (pa != pb) return pa > pb;  // farthest first -> popped last
-              return a.host > b.host;
-            });
-  for (const NodeHandle& c : candidates) walk.stack.push_back(c);
+  std::sort(ranked.begin(), ranked.end(), [](const Ranked& a, const Ranked& b) {
+    if (a.proximity != b.proximity) {
+      return a.proximity > b.proximity;  // farthest first -> popped last
+    }
+    return a.node.host > b.node.host;
+  });
+  for (const Ranked& r : ranked) walk.stack.push_back(r.node);
 }
 
 void ScribeNode::process_walk(std::shared_ptr<WalkMsg> walk) {

@@ -181,8 +181,10 @@ class VBundleAgent : public pastry::PastryApp,
   void handle_boot_query(const BootQueryMsg& q);
   void handle_placement_walk(const PlacementWalkMsg& walk);
   bool try_host_locally(host::VmId vm);
-  void continue_walk(std::shared_ptr<PlacementWalkMsg> walk);
-  void seed_frontier(PlacementWalkMsg& walk) const;
+  /// True if `vm` is already placed: the message is a duplicate's fork.
+  bool already_placed(host::VmId vm) const;
+  /// Nacks the requester: the walk ran out of candidates or visits.
+  void fail_walk(const PlacementWalkMsg& walk);
 
   // shuffler.cc
   void reevaluate_role();

@@ -1,6 +1,7 @@
 // Placement half of VBundleAgent (§II.B): key-routed boot queries with
 // proximity-ordered neighbor-set spillover.
 #include <algorithm>
+#include <optional>
 
 #include "pastry/pastry_network.h"
 #include "vbundle/controller.h"
@@ -9,6 +10,36 @@ namespace vb::core {
 
 using pastry::MsgCategory;
 using pastry::NodeHandle;
+
+namespace {
+
+/// Proximity of `n` to the walk's anchor: topology tier first, host-id
+/// distance within a tier.
+long anchor_rank(const net::Topology& topo, const NodeHandle& anchor,
+                 const NodeHandle& n) {
+  long tier = static_cast<long>(topo.proximity(anchor.host, n.host));
+  long delta = n.host > anchor.host ? n.host - anchor.host
+                                    : anchor.host - n.host;
+  return tier * 1'000'000L + delta;
+}
+
+/// Adds `id` to the walk's sorted seen set; false if it was already there.
+bool mark_seen(PlacementWalkMsg& walk, const U128& id) {
+  auto it = std::lower_bound(walk.seen.begin(), walk.seen.end(), id);
+  if (it != walk.seen.end() && *it == id) return false;
+  walk.seen.insert(it, id);
+  return true;
+}
+
+void push_candidate(PlacementWalkMsg& walk, const net::Topology& topo,
+                    const NodeHandle& n) {
+  walk.frontier.push_back(
+      {anchor_rank(topo, walk.anchor, n), walk.next_seq++, n});
+  std::push_heap(walk.frontier.begin(), walk.frontier.end(),
+                 PlacementWalkMsg::Candidate::later);
+}
+
+}  // namespace
 
 void VBundleAgent::request_boot(const U128& customer_key, host::VmId vm,
                                 const host::VmSpec& spec,
@@ -26,16 +57,14 @@ bool VBundleAgent::try_host_locally(host::VmId vm) {
   return fleet_->place(vm, node_->host());
 }
 
-void VBundleAgent::seed_frontier(PlacementWalkMsg& walk) const {
-  // The neighbor set is already ordered nearest-first (§II.B: "the neighbor
-  // set M contains ... |M| nodes that are closest according to the
-  // proximity metric").
-  for (const NodeHandle& n : node_->neighbor_set().members()) {
-    walk.frontier.push_back(n);
-  }
+bool VBundleAgent::already_placed(host::VmId vm) const {
+  // Only a duplicated query or walk message (a fork) can arrive after its
+  // VM found a home; the boot is settled, so the fork just stops.
+  return fleet_->vm(vm).host != -1;
 }
 
 void VBundleAgent::handle_boot_query(const BootQueryMsg& q) {
+  if (already_placed(q.vm)) return;
   if (try_host_locally(q.vm)) {
     auto ack = std::make_shared<BootAckMsg>();
     ack->vm = q.vm;
@@ -52,13 +81,33 @@ void VBundleAgent::handle_boot_query(const BootQueryMsg& q) {
   walk->requester = q.requester;
   walk->anchor = node_->handle();
   walk->visited.push_back(node_->id());
+  walk->seen.push_back(node_->id());
   walk->visits = 1;
   walk->max_visits = cfg_->max_placement_visits;
-  seed_frontier(*walk);
-  continue_walk(std::move(walk));
+  // The first hop is the head of the neighbor set as it lists itself,
+  // nearest first (§II.B: "the neighbor set M contains ... |M| nodes that
+  // are closest according to the proximity metric").  The others join the
+  // frontier in listed order and, like every later candidate, leave it in
+  // anchor-rank order.
+  const net::Topology& topo = node_->network().topology();
+  std::optional<NodeHandle> first;
+  for (const NodeHandle& n : node_->neighbor_set().members()) {
+    if (!mark_seen(*walk, n.id)) continue;
+    if (first) {
+      push_candidate(*walk, topo, n);
+    } else {
+      first = n;
+    }
+  }
+  if (first && walk->visits < walk->max_visits) {
+    node_->send_direct(*first, std::move(walk), MsgCategory::kVBundle);
+    return;
+  }
+  fail_walk(*walk);
 }
 
 void VBundleAgent::handle_placement_walk(const PlacementWalkMsg& msg) {
+  if (already_placed(msg.vm)) return;
   auto walk = std::make_shared<PlacementWalkMsg>(msg);
   walk->visited.push_back(node_->id());
   walk->visits += 1;
@@ -70,46 +119,29 @@ void VBundleAgent::handle_placement_walk(const PlacementWalkMsg& msg) {
     node_->send_direct(walk->requester, std::move(ack), MsgCategory::kVBundle);
     return;
   }
-  // Merge our neighbor set into the frontier, keeping it ordered by
-  // proximity to the anchor so the search expands outward from the key.
+  // Merge our neighbor set into the frontier, ranked by proximity to the
+  // anchor so the search expands outward from the key.
   const net::Topology& topo = node_->network().topology();
   for (const NodeHandle& n : node_->neighbor_set().members()) {
-    bool seen =
-        std::find(walk->visited.begin(), walk->visited.end(), n.id) !=
-            walk->visited.end() ||
-        std::find(walk->frontier.begin(), walk->frontier.end(), n) !=
-            walk->frontier.end();
-    if (!seen) walk->frontier.push_back(n);
+    if (mark_seen(*walk, n.id)) push_candidate(*walk, topo, n);
   }
-  auto anchor_rank = [&](const NodeHandle& n) {
-    long tier = static_cast<long>(topo.proximity(walk->anchor.host, n.host));
-    long delta = n.host > walk->anchor.host ? n.host - walk->anchor.host
-                                            : walk->anchor.host - n.host;
-    return tier * 1'000'000L + delta;
-  };
-  std::stable_sort(walk->frontier.begin(), walk->frontier.end(),
-                   [&](const NodeHandle& a, const NodeHandle& b) {
-                     return anchor_rank(a) < anchor_rank(b);
-                   });
-  continue_walk(std::move(walk));
-}
-
-void VBundleAgent::continue_walk(std::shared_ptr<PlacementWalkMsg> walk) {
-  while (!walk->frontier.empty() && walk->visits < walk->max_visits) {
-    NodeHandle next = walk->frontier.front();
-    walk->frontier.erase(walk->frontier.begin());
-    if (std::find(walk->visited.begin(), walk->visited.end(), next.id) !=
-        walk->visited.end()) {
-      continue;
-    }
-    node_->send_direct(next, walk, MsgCategory::kVBundle);
+  if (walk->frontier.empty() || walk->visits >= walk->max_visits) {
+    fail_walk(*walk);
     return;
   }
+  std::pop_heap(walk->frontier.begin(), walk->frontier.end(),
+                PlacementWalkMsg::Candidate::later);
+  NodeHandle next = walk->frontier.back().node;
+  walk->frontier.pop_back();
+  node_->send_direct(next, std::move(walk), MsgCategory::kVBundle);
+}
+
+void VBundleAgent::fail_walk(const PlacementWalkMsg& walk) {
   // Search radius exhausted.
   auto nack = std::make_shared<BootNackMsg>();
-  nack->vm = walk->vm;
-  nack->visits = walk->visits;
-  node_->send_direct(walk->requester, std::move(nack), MsgCategory::kVBundle);
+  nack->vm = walk.vm;
+  nack->visits = walk.visits;
+  node_->send_direct(walk.requester, std::move(nack), MsgCategory::kVBundle);
 }
 
 }  // namespace vb::core

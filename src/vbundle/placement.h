@@ -5,6 +5,7 @@
 // some server admits the reservation.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -25,10 +26,24 @@ struct BootQueryMsg : pastry::Payload {
 };
 
 /// Direct: the walking form of a boot query spilling over neighbor sets.
-/// Carries the frontier queue and visited set of a breadth-first search
-/// over proximity neighbor sets, so the query expands outward from the key
-/// owner in physical-distance order.
+/// Carries the frontier and visited set of a best-first search over
+/// proximity neighbor sets, so the query expands outward from the key owner
+/// in physical-distance order.
 struct PlacementWalkMsg : pastry::Payload {
+  /// One frontier entry.  `rank` is the candidate's proximity to the anchor
+  /// (topology tier, then host-id distance), computed once when it is
+  /// pushed; `seq` counts pushes and breaks rank ties in discovery order.
+  struct Candidate {
+    long rank = 0;
+    std::uint64_t seq = 0;
+    pastry::NodeHandle node;
+    /// Heap order: std::push_heap/pop_heap with this comparator keep the
+    /// smallest (rank, seq) on top.
+    static bool later(const Candidate& a, const Candidate& b) {
+      return a.rank != b.rank ? a.rank > b.rank : a.seq > b.seq;
+    }
+  };
+
   host::VmId vm = -1;
   host::VmSpec spec;
   host::CustomerId customer = -1;
@@ -37,8 +52,15 @@ struct PlacementWalkMsg : pastry::Payload {
   /// proximity to this anchor, keeping spillover clustered around the
   /// customer's key.
   pastry::NodeHandle anchor;
-  std::vector<pastry::NodeHandle> frontier;  ///< next candidates, nearest first
-  std::vector<U128> visited;
+  /// Candidates not yet probed: a min-heap on (rank, seq), so the next hop
+  /// is the nearest candidate to the anchor, the earliest found among
+  /// equals.  No entry is ever visited or listed twice.
+  std::vector<Candidate> frontier;
+  std::vector<U128> visited;  ///< probed servers, in visit order
+  /// Sorted ids of visited ∪ frontier: the "already known" test for new
+  /// candidates, by binary search.
+  std::vector<U128> seen;
+  std::uint64_t next_seq = 0;
   int visits = 0;
   int max_visits = 256;
   std::size_t wire_bytes() const override {

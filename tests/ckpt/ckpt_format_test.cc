@@ -10,6 +10,7 @@
 #include "ckpt/format.h"
 #include "ckpt/payload_codec.h"
 #include "pastry/message.h"
+#include "vbundle/cloud.h"
 
 namespace vb::ckpt {
 namespace {
@@ -55,6 +56,61 @@ TEST(CkptFormat, RoundTripsEveryPrimitive) {
 
 TEST(CkptFormat, ImageIsDeterministic) {
   EXPECT_EQ(sample_image(), sample_image());
+}
+
+/// The plain one-byte-at-a-time CRC-32 (IEEE, reflected 0xEDB88320) that
+/// the sliced crc32() must reproduce bit for bit.
+std::uint32_t crc32_bytewise(const std::uint8_t* p, std::size_t n,
+                             std::uint32_t crc = 0) {
+  std::uint32_t c = crc ^ 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(CkptFormat, Crc32MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
+  std::vector<std::uint8_t> buf(64 + 8);
+  std::uint32_t x = 0x9E3779B9u;
+  for (std::uint8_t& b : buf) {
+    x = x * 1664525u + 1013904223u;
+    b = static_cast<std::uint8_t>(x >> 24);
+  }
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      const std::uint8_t* p = buf.data() + off;
+      ASSERT_EQ(crc32(p, len), crc32_bytewise(p, len))
+          << "offset " << off << " length " << len;
+      // Chaining through `crc` equals one pass over the whole range.
+      ASSERT_EQ(crc32(p + len / 3, len - len / 3, crc32(p, len / 3)),
+                crc32_bytewise(p, len))
+          << "chained, offset " << off << " length " << len;
+    }
+  }
+  // The standard check value: CRC-32 of "123456789".
+  const char* check = "123456789";
+  EXPECT_EQ(crc32(check, 9), 0xCBF43926u);
+}
+
+TEST(CkptFormat, Crc32OfARealCloudImageMatchesBytewiseReference) {
+  core::CloudConfig cfg;
+  cfg.topology.num_pods = 2;
+  cfg.topology.racks_per_pod = 2;
+  cfg.topology.hosts_per_rack = 4;
+  core::VBundleCloud cloud(cfg);
+  host::CustomerId c = cloud.add_customer("crc");
+  for (int i = 0; i < 20; ++i) cloud.boot_vm(c, host::VmSpec{100, 200});
+  std::vector<std::uint8_t> image = cloud.save_checkpoint();
+  ASSERT_GT(image.size(), 1000u);
+  const std::size_t body = image.size() - 4;
+  std::uint32_t stored = 0;
+  for (int i = 0; i < 4; ++i) {
+    stored |= static_cast<std::uint32_t>(image[body + static_cast<std::size_t>(i)])
+              << (8 * i);
+  }
+  EXPECT_EQ(crc32(image.data(), body), crc32_bytewise(image.data(), body));
+  EXPECT_EQ(stored, crc32_bytewise(image.data(), body));
 }
 
 TEST(CkptFormat, CorruptedByteFailsCrcUpFront) {
