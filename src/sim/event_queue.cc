@@ -237,11 +237,23 @@ void EventQueue::refill_run() {
 void EventQueue::retune(double new_width) {
   new_width = std::max(new_width, kMinWidth);
   if (new_width == width_) return;
-  width_ = new_width;
   // The run is already in final order whatever the width; re-anchor the
-  // window at its last key and re-bin the wheel.  The overflow heap is
-  // width-independent — due keys migrate out during later refills.
-  cur_vb_ = vb_of(time_of(run_.back()));
+  // window at its last key and re-bin the wheel.  Every overflow key must
+  // stay beyond the re-anchored current bucket: one binned at or before it
+  // would surface only at the next refill, after keys pushed into the run
+  // later had already run.  A width that would swallow the earliest
+  // overflow key is refused (the next fat bucket tries again).  Moving
+  // such keys into the run instead makes one wide, fat run whose sorted
+  // inserts cost O(run) each — a burst arriving after an idle gap is
+  // exactly when the drain-rate estimate proposes the widest buckets.
+  const double old_width = width_;
+  width_ = new_width;
+  const std::int64_t anchor = vb_of(time_of(run_.back()));
+  if (!overflow_.empty() && vb_of(time_of(overflow_.front())) <= anchor) {
+    width_ = old_width;
+    return;
+  }
+  cur_vb_ = anchor;
   std::vector<HeapKey> rebin;
   rebin.reserve(wheel_count_);
   if (wheel_count_ > 0) {

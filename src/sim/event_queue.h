@@ -234,7 +234,9 @@ class EventQueue {
   /// only if keys remain somewhere.
   void refill_run();
   /// Re-bins every wheel key under a new bucket width (run and overflow are
-  /// width-independent).  Called when a drained bucket was too big.
+  /// width-independent).  Refuses a width whose re-anchored current bucket
+  /// would cover the earliest overflow key.  Called when a drained bucket
+  /// was too big.
   void retune(double new_width);
   /// Re-anchors the window at the earliest pending key and re-bins the
   /// run's undrained tail into the wheel.  Returns false (and does

@@ -211,6 +211,61 @@ TEST(EventQueueProperty, CallbackMayCancelOtherPendingEvents) {
   EXPECT_EQ(fired, (std::vector<int>{1, 3}));
 }
 
+TEST(EventQueueProperty, WideningKeepsOverflowKeysInTimeOrder) {
+  // A fat bucket at t=100 after the long gap from t=1 widens the buckets.
+  // t=101 sat in the overflow heap and now falls inside the widened current
+  // bucket; t=102, pushed by a t=100 event after the widening, lands there
+  // too.  Both must run in time order.
+  EventQueue q;
+  std::vector<double> ran;
+  for (int i = 0; i < 100; ++i) q.push(1.0, [&ran] { ran.push_back(1.0); });
+  for (int i = 0; i < 100; ++i) {
+    q.push(100.0, [&ran, &q, i] {
+      ran.push_back(100.0);
+      if (i == 0) q.push(102.0, [&ran] { ran.push_back(102.0); });
+    });
+  }
+  q.push(101.0, [&ran] { ran.push_back(101.0); });
+  while (!q.empty()) q.run_top();
+  ASSERT_EQ(ran.size(), 202u);
+  EXPECT_TRUE(std::is_sorted(ran.begin(), ran.end()));
+}
+
+TEST(EventQueueProperty, RandomBurstsAfterIdleGapsDrainInTimeOrder) {
+  // The repro above, randomized: clusters of equal-time events after idle
+  // gaps (fat buckets that widen the width), stragglers a few seconds behind
+  // each cluster (waiting in the overflow heap), and cluster events that
+  // schedule follow-ups into the same few seconds after the widening.
+  Rng rng(31);
+  EventQueue q;
+  std::vector<std::pair<double, std::uint64_t>> ran;
+  auto record = [&ran, &q](double t) {
+    const std::uint64_t seq = q.total_pushed();
+    return [&ran, t, seq] { ran.emplace_back(t, seq); };
+  };
+  double t = 1.0;
+  for (int burst = 0; burst < 30; ++burst) {
+    t += rng.uniform(20.0, 400.0);
+    const int cluster = 65 + static_cast<int>(rng.next_below(200));
+    for (int i = 0; i < cluster; ++i) {
+      const std::uint64_t seq = q.total_pushed();
+      const double follow = t + rng.uniform(0.0, 6.0);
+      const bool spawns = rng.chance(0.1);
+      q.push(t, [&ran, &q, &record, t, seq, follow, spawns] {
+        ran.emplace_back(t, seq);
+        if (spawns) q.push(follow, record(follow));
+      });
+    }
+    for (int i = 0, n = 1 + static_cast<int>(rng.next_below(5)); i < n; ++i) {
+      const double u = t + rng.uniform(0.0, 6.0);
+      q.push(u, record(u));
+    }
+  }
+  while (!q.empty()) q.run_top();
+  ASSERT_GT(ran.size(), 2000u);
+  EXPECT_TRUE(std::is_sorted(ran.begin(), ran.end()));
+}
+
 TEST(SimulatorCancellation, CancelStopsAOneShotEvent) {
   Simulator s;
   int fired = 0;
