@@ -117,8 +117,8 @@ double AdmissionController::next_departure() const {
 }
 
 int AdmissionController::process_departures(double now, double retry_s) {
-  // Snapshot the due prefix first: deferrals re-key bundles (always past
-  // `now`), so the set must not be walked while it changes.
+  // Snapshot the due prefix first: deferrals re-key bundles, so the set
+  // must not be walked while it changes.
   std::vector<std::uint64_t> due;
   for (auto it = departures_.begin();
        it != departures_.end() && it->first <= now; ++it) {
