@@ -181,8 +181,9 @@ class VBundleAgent : public pastry::PastryApp,
   void handle_boot_query(const BootQueryMsg& q);
   void handle_placement_walk(const PlacementWalkMsg& walk);
   bool try_host_locally(host::VmId vm);
-  /// True if `vm` is already placed: the message is a duplicate's fork.
-  bool already_placed(host::VmId vm) const;
+  /// True if `vm` is already placed or destroyed: the message is a
+  /// duplicate's fork of a boot that has ended.
+  bool boot_settled(host::VmId vm) const;
   /// Nacks the requester: the walk ran out of candidates or visits.
   void fail_walk(const PlacementWalkMsg& walk);
 

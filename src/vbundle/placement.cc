@@ -57,14 +57,17 @@ bool VBundleAgent::try_host_locally(host::VmId vm) {
   return fleet_->place(vm, node_->host());
 }
 
-bool VBundleAgent::already_placed(host::VmId vm) const {
+bool VBundleAgent::boot_settled(host::VmId vm) const {
   // Only a duplicated query or walk message (a fork) can arrive after its
-  // VM found a home; the boot is settled, so the fork just stops.
-  return fleet_->vm(vm).host != -1;
+  // VM found a home, or after the requester gave up on it and destroyed
+  // it (a rejected bundle); either way the boot is settled, so the fork
+  // just stops.
+  const host::Vm& v = fleet_->vm(vm);
+  return v.host != -1 || v.destroyed;
 }
 
 void VBundleAgent::handle_boot_query(const BootQueryMsg& q) {
-  if (already_placed(q.vm)) return;
+  if (boot_settled(q.vm)) return;
   if (try_host_locally(q.vm)) {
     auto ack = std::make_shared<BootAckMsg>();
     ack->vm = q.vm;
@@ -80,7 +83,6 @@ void VBundleAgent::handle_boot_query(const BootQueryMsg& q) {
   walk->customer = q.customer;
   walk->requester = q.requester;
   walk->anchor = node_->handle();
-  walk->visited.push_back(node_->id());
   walk->seen.push_back(node_->id());
   walk->visits = 1;
   walk->max_visits = cfg_->max_placement_visits;
@@ -107,9 +109,8 @@ void VBundleAgent::handle_boot_query(const BootQueryMsg& q) {
 }
 
 void VBundleAgent::handle_placement_walk(const PlacementWalkMsg& msg) {
-  if (already_placed(msg.vm)) return;
+  if (boot_settled(msg.vm)) return;
   auto walk = std::make_shared<PlacementWalkMsg>(msg);
-  walk->visited.push_back(node_->id());
   walk->visits += 1;
   if (try_host_locally(walk->vm)) {
     auto ack = std::make_shared<BootAckMsg>();

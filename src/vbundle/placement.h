@@ -26,7 +26,7 @@ struct BootQueryMsg : pastry::Payload {
 };
 
 /// Direct: the walking form of a boot query spilling over neighbor sets.
-/// Carries the frontier and visited set of a best-first search over
+/// Carries the frontier and known-server set of a best-first search over
 /// proximity neighbor sets, so the query expands outward from the key owner
 /// in physical-distance order.
 struct PlacementWalkMsg : pastry::Payload {
@@ -56,15 +56,16 @@ struct PlacementWalkMsg : pastry::Payload {
   /// is the nearest candidate to the anchor, the earliest found among
   /// equals.  No entry is ever visited or listed twice.
   std::vector<Candidate> frontier;
-  std::vector<U128> visited;  ///< probed servers, in visit order
-  /// Sorted ids of visited ∪ frontier: the "already known" test for new
-  /// candidates, by binary search.
+  /// Sorted ids of the probed servers and the frontier: the "already
+  /// known" test for new candidates, by binary search.
   std::vector<U128> seen;
   std::uint64_t next_seq = 0;
-  int visits = 0;
+  int visits = 0;  ///< servers probed so far, this one included
   int max_visits = 256;
+  /// Wire size with the probed servers' ids on board (16 bytes each), as
+  /// a walk that lists them would carry.
   std::size_t wire_bytes() const override {
-    return 112 + 24 * frontier.size() + 16 * visited.size();
+    return 112 + 24 * frontier.size() + 16 * static_cast<std::size_t>(visits);
   }
   std::string name() const override { return "vbundle.place_walk"; }
 };

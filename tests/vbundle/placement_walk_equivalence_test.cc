@@ -7,11 +7,12 @@
 // Two identical, nearly full clouds boot the same VMs, one through the
 // real VBundleAgent and one through RefAgent (its own payload types, which
 // VBundleAgent ignores).  Every walk message delivered is recorded as
-// (time, host, wire_bytes, visits, frontier size, visited size), every
-// completion as (vm, host, visits); both records, the per-node traffic
-// counters and the final placements must agree exactly.  The scenario runs
-// again under a FaultPlan that duplicates messages, so forked walks, and
-// the fault plan's random stream, must match as well.
+// (time, host, wire_bytes, visits, frontier size), every completion as
+// (vm, host, visits); both records, the per-node traffic counters and the
+// final placements must agree exactly.  The scenario runs again under a
+// FaultPlan that duplicates messages, so forked walks, and the fault
+// plan's random stream, must match as well; and once more with failed
+// boots rejecting their tenant's bundle, so forks outlive destroyed VMs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -121,10 +122,11 @@ class RefAgent : public pastry::PastryApp {
     if (cb) cb(vm, h, visits);
   }
 
-  // A duplicate's fork reaching a server after the VM found a home is
-  // dropped, as in VBundleAgent.
+  // A duplicate's fork reaching a server after the VM found a home, or
+  // after it was destroyed, is dropped, as in VBundleAgent.
   bool already_placed(host::VmId vm) const {
-    return fleet_->vm(vm).host != -1;
+    const host::Vm& v = fleet_->vm(vm);
+    return v.host != -1 || v.destroyed;
   }
 
   bool try_host_locally(host::VmId vm) {
@@ -221,13 +223,13 @@ class RefAgent : public pastry::PastryApp {
 
 // --- recording --------------------------------------------------------------
 
-/// (delivery time, receiving host, wire_bytes, visits, frontier, visited)
-using Hop = std::tuple<double, int, std::size_t, int, std::size_t, std::size_t>;
+/// (delivery time, receiving host, wire_bytes, visits, frontier)
+using Hop = std::tuple<double, int, std::size_t, int, std::size_t>;
 /// (vm, host or -1, visits)
 using Done = std::tuple<host::VmId, int, int>;
 
-/// Registered on every node of a cloud; records each walk message of type
-/// `Walk` as it arrives.
+/// Registered on every node of a cloud after its placement agent; records
+/// each walk message of type `Walk` as it arrives.
 template <class Walk>
 class HopRecorder : public pastry::PastryApp {
  public:
@@ -238,10 +240,19 @@ class HopRecorder : public pastry::PastryApp {
                       MsgCategory) override {
     if (auto w = std::dynamic_pointer_cast<const Walk>(payload)) {
       hops.emplace_back(cloud_->now(), self.host(), w->wire_bytes(), w->visits,
-                        w->frontier.size(), w->visited.size());
+                        w->frontier.size());
+      // A fork of a destroyed VM's walk that reached a server that had
+      // room for it (or, with no guard, took that room).
+      const host::Fleet& fleet = cloud_->fleet();
+      const host::Vm& v = fleet.vm(w->vm);
+      if (v.destroyed && (v.host == self.host() ||
+                          fleet.host(self.host()).can_admit(v.spec))) {
+        ++late_forks;
+      }
     }
   }
   std::vector<Hop> hops;
+  int late_forks = 0;
 
  private:
   VBundleCloud* cloud_;
@@ -252,6 +263,8 @@ struct Outcome {
   std::vector<Done> done;
   std::vector<std::uint64_t> node_bytes;
   std::vector<int> vm_hosts;
+  int destroyed_placed = 0;  ///< destroyed VMs still holding a host
+  int late_forks = 0;
   std::uint64_t dups = 0;
 };
 
@@ -268,8 +281,12 @@ CloudConfig walk_config(int max_visits) {
 /// Fills every server to within one 100 Mbps slot of full, leaving a slot
 /// free on about one server in four, then boots `boots` VMs for two
 /// tenants one after another.  `reference` picks RefAgent over
-/// VBundleAgent; `dup_prob` > 0 attaches a duplicating FaultPlan.
-Outcome run(bool reference, int max_visits, double dup_prob, int boots) {
+/// VBundleAgent; `dup_prob` > 0 attaches a duplicating FaultPlan.  With
+/// `reject_bundles`, a failed boot rejects its tenant's bundle as
+/// arena::VBundleEmbedder does: the VM and every VM the tenant holds are
+/// destroyed at once, while forks of their walks may still be in flight.
+Outcome run(bool reference, int max_visits, double dup_prob, int boots,
+            bool reject_bundles = false) {
   VBundleCloud cloud(walk_config(max_visits));
   sim::FaultPlan plan(99);
   if (dup_prob > 0) {
@@ -306,12 +323,21 @@ Outcome run(bool reference, int max_visits, double dup_prob, int boots) {
   }
 
   Outcome out;
+  std::map<host::CustomerId, std::vector<host::VmId>> bundles;
   for (int i = 0; i < boots; ++i) {
     host::CustomerId c = tenants[i % 2];
     host::VmId vm = fleet.create_vm(c, slot);
     int gw = static_cast<int>(vm) % n;
-    auto cb = [&out](host::VmId id, int h, int visits) {
+    auto cb = [&, c](host::VmId id, int h, int visits) {
       out.done.emplace_back(id, h, visits);
+      if (!reject_bundles) return;
+      if (h >= 0) {
+        bundles[c].push_back(id);
+        return;
+      }
+      cloud.shutdown_vm(id);
+      for (host::VmId placed : bundles[c]) cloud.shutdown_vm(placed);
+      bundles[c].clear();
     };
     if (reference) {
       refs[static_cast<std::size_t>(gw)]->request_boot(cloud.customer_key(c),
@@ -322,8 +348,12 @@ Outcome run(bool reference, int max_visits, double dup_prob, int boots) {
     cloud.run_until(cloud.now() + 5.0);
   }
   out.hops = reference ? ref_hops.hops : real_hops.hops;
+  out.late_forks = reference ? ref_hops.late_forks : real_hops.late_forks;
   out.node_bytes = cloud.pastry().per_node_bytes();
-  for (const host::Vm& v : fleet.all_vms()) out.vm_hosts.push_back(v.host);
+  for (const host::Vm& v : fleet.all_vms()) {
+    out.vm_hosts.push_back(v.host);
+    out.destroyed_placed += v.destroyed && v.host != -1 ? 1 : 0;
+  }
   out.dups = cloud.pastry().total_fault_dups();
   return out;
 }
@@ -336,6 +366,7 @@ void expect_same(const Outcome& real, const Outcome& ref) {
   EXPECT_EQ(real.done, ref.done);
   EXPECT_EQ(real.node_bytes, ref.node_bytes);
   EXPECT_EQ(real.vm_hosts, ref.vm_hosts);
+  EXPECT_EQ(real.late_forks, ref.late_forks);
   EXPECT_EQ(real.dups, ref.dups);
 }
 
@@ -377,6 +408,16 @@ TEST(PlacementWalkEquivalence, ForkedWalksUnderDuplicationMatch) {
     forks += ++arrivals[{std::get<1>(h), std::get<3>(h)}] > 1 ? 1 : 0;
   }
   EXPECT_GT(forks, 0);
+}
+
+TEST(PlacementWalkEquivalence, ForksOfARejectedBundleStop) {
+  Outcome real = run(false, 256, 0.3, 14, /*reject_bundles=*/true);
+  Outcome ref = run(true, 256, 0.3, 14, /*reject_bundles=*/true);
+  expect_same(real, ref);
+  // The scenario is what it claims: some fork of a destroyed VM's walk
+  // reached a server with room for it, and it did not take that room.
+  EXPECT_GT(real.late_forks, 0);
+  EXPECT_EQ(real.destroyed_placed, 0);
 }
 
 }  // namespace
