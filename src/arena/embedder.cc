@@ -129,6 +129,15 @@ void GreedyTreeEmbedder::reacquire(const EmbedOutcome& o) {
   packer_.reserve_uplinks(o.uplink_holds);
 }
 
+std::vector<std::string> GreedyTreeEmbedder::audit(
+    const std::vector<const EmbedOutcome*>& live) const {
+  std::vector<std::pair<net::LinkId, double>> holds;
+  for (const EmbedOutcome* o : live) {
+    holds.insert(holds.end(), o->uplink_holds.begin(), o->uplink_holds.end());
+  }
+  return packer_.audit(holds);
+}
+
 // --- CompetitiveEmbedder ---------------------------------------------------
 
 CompetitiveEmbedder::CompetitiveEmbedder(core::VBundleCloud* cloud,

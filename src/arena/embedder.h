@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -96,6 +97,14 @@ class GreedyTreeEmbedder : public Embedder {
   void reacquire(const EmbedOutcome& o) override;
 
   baseline::GreedyTreePacker& packer() { return packer_; }
+
+  /// Runtime audit of the packer against the live bundles (`live`: the
+  /// outcome of every accepted bundle that has not departed).  Returns
+  /// named violations (see GreedyTreePacker::audit); empty when the uplink
+  /// ledger and the slot cache are both consistent.  A full scan of links
+  /// and hosts: for tests and checks, not for the campaign loop.
+  std::vector<std::string> audit(
+      const std::vector<const EmbedOutcome*>& live) const;
 
  protected:
   core::VBundleCloud* cloud_;

@@ -1,7 +1,9 @@
 #include "baselines/greedy_placement.h"
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace vb::baseline {
@@ -10,6 +12,9 @@ namespace {
 // Feasibility comparisons tolerate tiny float residue from repeated
 // reserve/release cycles; the slack is far below any real reservation.
 constexpr double kEps = 1e-9;
+// SlotCache::rev of a count never computed; the fleet counter starts at 0
+// and only goes up, so it never reaches this.
+constexpr std::uint64_t kNoRev = std::numeric_limits<std::uint64_t>::max();
 }  // namespace
 
 GreedyPlacer::GreedyPlacer(host::Fleet* fleet) : fleet_(fleet) {
@@ -41,10 +46,11 @@ double GreedyTreePacker::uplink_free(net::LinkId l) const {
          uplink_reserved_[static_cast<std::size_t>(l)];
 }
 
-int GreedyTreePacker::slots_on_host(int h, const host::VmSpec& spec,
-                                    int cap) const {
+int GreedyTreePacker::slots_on_host(int h, const host::VmSpec& spec) const {
   const host::Host& host = fleet_->host(h);
-  double s = cap;
+  // Clamped to [0, INT_MAX] so that min(slots, n) equals the count capped
+  // at n first and cast afterwards, for every n.
+  double s = INT_MAX;
   if (spec.reservation_mbps > 0) {
     s = std::min(s, std::floor((host.free_reservation_mbps() + kEps) /
                                spec.reservation_mbps));
@@ -60,7 +66,24 @@ int GreedyTreePacker::slots_on_host(int h, const host::VmSpec& spec,
                              kEps) /
                             spec.ram_mb));
   }
-  return std::max(0, static_cast<int>(s));
+  return static_cast<int>(std::max(0.0, s));
+}
+
+GreedyTreePacker::SlotCache& GreedyTreePacker::cache_for(
+    const host::VmSpec& spec) {
+  for (SlotCache& c : caches_) {
+    if (c.mbps == spec.reservation_mbps && c.cpu == spec.cpu_reservation &&
+        c.ram == spec.ram_mb) {
+      return c;
+    }
+  }
+  SlotCache& c = caches_.emplace_back();
+  c.mbps = spec.reservation_mbps;
+  c.cpu = spec.cpu_reservation;
+  c.ram = spec.ram_mb;
+  c.slots.assign(static_cast<std::size_t>(fleet_->num_hosts()), 0);
+  c.rev.assign(static_cast<std::size_t>(fleet_->num_hosts()), kNoRev);
+  return c;
 }
 
 GreedyTreePacker::Result GreedyTreePacker::pack(int n_vms,
@@ -71,14 +94,26 @@ GreedyTreePacker::Result GreedyTreePacker::pack(int n_vms,
   const int nh = fleet_->num_hosts();
   const int nr = topo_->num_racks();
   const int np = topo_->num_pods();
+  const int hosts_per_rack = topo_->config().hosts_per_rack;
   const double bw = spec.reservation_mbps;
 
-  std::vector<int> slots(static_cast<std::size_t>(nh));
+  // Refresh the hosts whose reservations changed since the last pack of
+  // this shape, and pool the capped counts rack by rack (hosts are
+  // numbered contiguously within a rack).
+  SlotCache& cache = cache_for(spec);
   std::vector<int> rack_slots(static_cast<std::size_t>(nr), 0);
-  for (int h = 0; h < nh; ++h) {
-    slots[static_cast<std::size_t>(h)] = slots_on_host(h, spec, n);
-    rack_slots[static_cast<std::size_t>(topo_->rack_of(h))] +=
-        slots[static_cast<std::size_t>(h)];
+  for (int r = 0, h = 0; r < nr; ++r) {
+    int pool = 0;
+    for (const int end = h + hosts_per_rack; h < end; ++h) {
+      const auto i = static_cast<std::size_t>(h);
+      const std::uint64_t rev = fleet_->reservation_rev(h);
+      if (cache.rev[i] != rev) {
+        cache.slots[i] = slots_on_host(h, spec);
+        cache.rev[i] = rev;
+      }
+      pool += std::min(cache.slots[i], n);
+    }
+    rack_slots[static_cast<std::size_t>(r)] = pool;
   }
   res.hosts_examined = static_cast<std::uint64_t>(nh);
   hosts_examined_ += static_cast<std::uint64_t>(nh);
@@ -86,9 +121,9 @@ GreedyTreePacker::Result GreedyTreePacker::pack(int n_vms,
   // Appends `m` VM placements from rack `r`, hosts in id order.
   auto fill_rack = [&](int r, int m) {
     int h = topo_->rack_first_host(r);
-    int end = h + topo_->config().hosts_per_rack;
+    int end = h + hosts_per_rack;
     for (; h < end && m > 0; ++h) {
-      int take = std::min(slots[static_cast<std::size_t>(h)], m);
+      int take = std::min(cache.slots[static_cast<std::size_t>(h)], m);
       for (int i = 0; i < take; ++i) res.hosts.push_back(h);
       m -= take;
     }
@@ -234,6 +269,42 @@ void GreedyTreePacker::release_uplinks(
   for (const auto& [l, mbps] : holds) {
     uplink_reserved_[static_cast<std::size_t>(l)] -= mbps;
   }
+}
+
+std::vector<std::string> GreedyTreePacker::audit(
+    const std::vector<std::pair<net::LinkId, double>>& live_holds) const {
+  std::vector<std::string> out;
+  std::vector<double> live(uplink_reserved_.size(), 0.0);
+  for (const auto& [l, mbps] : live_holds) {
+    live.at(static_cast<std::size_t>(l)) += mbps;
+  }
+  for (std::size_t l = 0; l < live.size(); ++l) {
+    if (std::abs(uplink_reserved_[l] - live[l]) > 1e-6) {
+      out.push_back("uplink_ledger: link " + std::to_string(l) + " ledger " +
+                    std::to_string(uplink_reserved_[l]) + " Mbps, live " +
+                    std::to_string(live[l]) + " Mbps");
+    }
+  }
+  for (const SlotCache& c : caches_) {
+    host::VmSpec spec;
+    spec.reservation_mbps = c.mbps;
+    spec.cpu_reservation = c.cpu;
+    spec.ram_mb = c.ram;
+    for (int h = 0; h < fleet_->num_hosts(); ++h) {
+      const auto i = static_cast<std::size_t>(h);
+      if (c.rev[i] != fleet_->reservation_rev(h)) continue;
+      int fresh = slots_on_host(h, spec);
+      if (c.slots[i] != fresh) {
+        out.push_back("slot_cache: host " + std::to_string(h) + " shape (" +
+                      std::to_string(c.mbps) + " Mbps, " +
+                      std::to_string(c.cpu) + " cpu, " +
+                      std::to_string(c.ram) + " MB) cached " +
+                      std::to_string(c.slots[i]) + ", fresh " +
+                      std::to_string(fresh));
+      }
+    }
+  }
+  return out;
 }
 
 }  // namespace vb::baseline

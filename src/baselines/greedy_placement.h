@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -49,6 +50,13 @@ class GreedyPlacer {
 /// violates an uplink budget rejects the level rather than backtracking) and
 /// fully deterministic: every ordering is by (capacity, id) with explicit
 /// tie-breaks.
+///
+/// Free capacity is read incrementally.  For every VM shape it has packed,
+/// the packer caches how many VMs of that shape each host could still admit
+/// (uncapped), stamped with the host's Fleet::reservation_rev.  A pack
+/// recomputes only the hosts whose revision moved since, so a campaign pays
+/// for the hosts its own placements and departures touched, not for a
+/// division per host per request.
 class GreedyTreePacker {
  public:
   struct Result {
@@ -80,16 +88,39 @@ class GreedyTreePacker {
   }
 
   /// Hosts examined across all pack() calls (decision-cost accounting).
+  /// Logical: every pack() counts every host, cached or not.
   std::uint64_t hosts_examined() const { return hosts_examined_; }
 
+  /// Runtime consistency checks; returns one message per violation, each
+  /// prefixed with the name of the check it failed:
+  ///   uplink_ledger — a link's ledgered reservation differs from the sum
+  ///                   of `live_holds` (the holds of every live bundle) by
+  ///                   more than 1e-6 Mbps;
+  ///   slot_cache    — a cached slot count stamped with the host's current
+  ///                   revision differs from a fresh computation.
+  std::vector<std::string> audit(
+      const std::vector<std::pair<net::LinkId, double>>& live_holds) const;
+
  private:
+  /// Per-host slot counts of one VM shape.
+  struct SlotCache {
+    double mbps = 0.0;  ///< the shape: bandwidth, CPU and memory
+    double cpu = 0.0;   ///< reservations of one VM
+    double ram = 0.0;
+    std::vector<int> slots;          ///< slots_on_host at `rev`
+    std::vector<std::uint64_t> rev;  ///< Fleet revision of each count
+  };
+
   double uplink_free(net::LinkId l) const;
-  /// VMs of `spec` host `h` can still admit, capped at `cap`.
-  int slots_on_host(int h, const host::VmSpec& spec, int cap) const;
+  /// VMs of `spec` host `h` can still admit, clamped to [0, INT_MAX].
+  int slots_on_host(int h, const host::VmSpec& spec) const;
+  /// The cache of `spec`'s shape, created empty on first use.
+  SlotCache& cache_for(const host::VmSpec& spec);
 
   host::Fleet* fleet_;
   const net::Topology* topo_;
   std::vector<double> uplink_reserved_;
+  std::vector<SlotCache> caches_;
   std::uint64_t hosts_examined_ = 0;
 };
 

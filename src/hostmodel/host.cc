@@ -15,6 +15,7 @@ Fleet::Fleet(int num_hosts, double nic_capacity_mbps, double cpu_capacity,
   for (int h = 0; h < num_hosts; ++h) {
     hosts_.emplace_back(h, nic_capacity_mbps, cpu_capacity, mem_capacity_mb);
   }
+  reservation_rev_.assign(static_cast<std::size_t>(num_hosts), 0);
 }
 
 VmId Fleet::create_vm(CustomerId customer, const VmSpec& spec) {
@@ -33,9 +34,8 @@ bool Fleet::place(VmId id, int h) {
   Host& dst = host(h);
   if (!dst.can_admit(v.spec)) return false;
   dst.vms_.push_back(id);
-  dst.reserved_mbps_ += v.spec.reservation_mbps;
-  dst.reserved_cpu_ += v.spec.cpu_reservation;
-  dst.reserved_mem_mb_ += v.spec.ram_mb;
+  dst.reserve(v.spec);
+  bump(h);
   v.host = h;
   return true;
 }
@@ -49,9 +49,8 @@ void Fleet::unplace(VmId id) {
     throw std::logic_error("Fleet::unplace: host/vm bookkeeping mismatch");
   }
   src.vms_.erase(it);
-  src.reserved_mbps_ -= v.spec.reservation_mbps;
-  src.reserved_cpu_ -= v.spec.cpu_reservation;
-  src.reserved_mem_mb_ -= v.spec.ram_mb;
+  src.release(v.spec);
+  bump(v.host);
   v.host = -1;
 }
 
@@ -62,14 +61,23 @@ void Fleet::migrate(VmId id, int dst, bool consume_hold) {
   if (consume_hold) {
     // The receiver held the reservations when accepting the anycast query;
     // placing the VM converts the hold into real reservations.
-    d.release_hold_all(v.spec);
+    d.release(v.spec);
   }
   d.vms_.push_back(id);
-  d.reserved_mbps_ += v.spec.reservation_mbps;
-  d.reserved_cpu_ += v.spec.cpu_reservation;
-  d.reserved_mem_mb_ += v.spec.ram_mb;
+  d.reserve(v.spec);
+  bump(dst);
   v.host = dst;
   v.migrating = false;
+}
+
+void Fleet::hold_all(int h, const VmSpec& spec) {
+  host(h).reserve(spec);
+  bump(h);
+}
+
+void Fleet::release_hold_all(int h, const VmSpec& spec) {
+  host(h).release(spec);
+  bump(h);
 }
 
 void Fleet::destroy_vm(VmId id) {
@@ -224,6 +232,7 @@ void Fleet::ckpt_restore(ckpt::Reader& r) {
     for (std::uint32_t i = 0; i < nv; ++i) {
       h.vms_.push_back(static_cast<VmId>(r.i64()));
     }
+    bump(h.id_);
   }
   // VMs may have been booted after setup, so the table is rebuilt wholesale
   // rather than verified against the reconstruction.

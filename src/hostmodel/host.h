@@ -5,8 +5,11 @@
 // only if its bandwidth reservation is still available (§III.B).  `Fleet`
 // owns all hosts and VMs of the simulated cloud and offers the snapshot
 // queries the evaluation needs (per-host utilization, satisfied bandwidth).
+// Fleet is the only code that changes a host's reservations, and it stamps
+// each change with a per-host revision so callers can cache derived views.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -54,24 +57,21 @@ class Host {
            spec.ram_mb <= mem_capacity_mb_ - reserved_mem_mb_;
   }
 
-  /// Holds resources for an inbound migration (v-Bundle's receiver "holds
-  /// part of its bandwidth waiting for the new VM", §III.C step 3).
-  void hold(double mbps) { reserved_mbps_ += mbps; }
-  void hold_all(const VmSpec& spec) {
+ private:
+  friend class Fleet;
+  // Reservation mutators: only Fleet changes what a host has reserved, so
+  // that every change moves the host's reservation revision.
+  void reserve(const VmSpec& spec) {
     reserved_mbps_ += spec.reservation_mbps;
     reserved_cpu_ += spec.cpu_reservation;
     reserved_mem_mb_ += spec.ram_mb;
   }
-  /// Releases a previously held amount (migration cancelled).
-  void release_hold(double mbps) { reserved_mbps_ -= mbps; }
-  void release_hold_all(const VmSpec& spec) {
+  void release(const VmSpec& spec) {
     reserved_mbps_ -= spec.reservation_mbps;
     reserved_cpu_ -= spec.cpu_reservation;
     reserved_mem_mb_ -= spec.ram_mb;
   }
 
- private:
-  friend class Fleet;
   int id_;
   double capacity_mbps_;
   double cpu_capacity_;
@@ -117,9 +117,28 @@ class Fleet {
   /// True if the VM has been destroyed.
   bool destroyed(VmId id) const { return vm(id).destroyed; }
 
-  /// Atomically moves a VM between hosts, consuming a prior hold of
-  /// `vm.spec.reservation_mbps` on the destination if `consume_hold`.
+  /// Atomically moves a VM between hosts, consuming a prior hold_all of
+  /// the VM's spec on the destination if `consume_hold`.
   void migrate(VmId id, int dst, bool consume_hold);
+
+  /// Holds `spec`'s bandwidth, CPU and memory reservations on host `h` for
+  /// an inbound migration (v-Bundle's receiver "holds part of its bandwidth
+  /// waiting for the new VM", §III.C step 3).  Holds count against
+  /// admission like placed VMs.
+  void hold_all(int h, const VmSpec& spec);
+  /// Returns a hold taken with hold_all (migration cancelled).
+  void release_hold_all(int h, const VmSpec& spec);
+
+  /// Reservation revision of host `h`.  It moves on every change to the
+  /// host's reserved bandwidth, CPU or memory — place, unplace, migrate
+  /// (both ends), destroy_vm of a placed VM, hold_all / release_hold_all,
+  /// and ckpt_restore (every host) — and on nothing else.  Values come from
+  /// one fleet-wide counter that only goes up, so a cache keyed on a
+  /// revision it saw is stale exactly when the revision differs.  Not part
+  /// of the checkpoint image.
+  std::uint64_t reservation_rev(int h) const {
+    return reservation_rev_[static_cast<std::size_t>(h)];
+  }
 
   /// Sets a VM's instantaneous bandwidth demand.
   void set_demand(VmId id, double mbps);
@@ -174,8 +193,15 @@ class Fleet {
   void ckpt_restore(ckpt::Reader& r);
 
  private:
+  /// Gives host `h` a fresh reservation revision.
+  void bump(int h) {
+    reservation_rev_[static_cast<std::size_t>(h)] = ++rev_counter_;
+  }
+
   std::vector<Host> hosts_;
   std::vector<Vm> vms_;
+  std::vector<std::uint64_t> reservation_rev_;
+  std::uint64_t rev_counter_ = 0;
 };
 
 }  // namespace vb::host

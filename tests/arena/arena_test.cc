@@ -4,6 +4,7 @@
 // special case of the arena (the regression lock for that rewrite).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -515,6 +516,69 @@ TEST(Arena, RestoreUnderDifferentConfigThrows) {
   acfg.embedder = arena::EmbedderKind::kCompetitive;
   arena::Arena b(&other, acfg);
   EXPECT_THROW(b.restore_checkpoint(image), ckpt::CkptError);
+}
+
+// --- runtime audit of the tree packers --------------------------------------
+
+std::vector<std::string> audit(arena::Arena& a) {
+  auto* tree = dynamic_cast<arena::GreedyTreeEmbedder*>(&a.embedder());
+  if (tree == nullptr) return {"audit: not a tree-packing embedder"};
+  std::vector<const arena::EmbedOutcome*> live;
+  for (const auto& [id, b] : a.admission().active()) live.push_back(&b.outcome);
+  return tree->audit(live);
+}
+
+std::string joined(const std::vector<std::string>& v) {
+  std::string out;
+  for (const std::string& s : v) out += s + "\n";
+  return out;
+}
+
+// The uplink ledger and the slot cache stay consistent with the live
+// bundles and the fleet after every campaign segment and after a restore,
+// for both tree-packing embedders, with the shuffler's migration holds
+// moving reservations underneath the packer.
+TEST(ArenaAudit, TreePackersStayConsistentAcrossSegmentsAndRestore) {
+  for (arena::EmbedderKind kind :
+       {arena::EmbedderKind::kGreedyTree, arena::EmbedderKind::kCompetitive}) {
+    SCOPED_TRACE(arena::embedder_kind_name(kind));
+    arena::ArenaConfig acfg;
+    acfg.embedder = kind;
+    acfg.generator.seed = 9;
+    acfg.generator.base_arrival_per_s = 0.05;
+    acfg.generator.mean_lifetime_s = 900.0;
+    acfg.max_requests = 200;
+    acfg.horizon_s = 6000.0;
+    acfg.sample_every_s = 500.0;
+    acfg.enable_rebalancing = true;
+
+    std::vector<std::uint8_t> image;
+    std::size_t peak_live = 0;
+    {
+      core::VBundleCloud cloud(small_config());
+      arena::Arena a(&cloud, acfg);
+      for (double t = 750.0; t <= 3000.0; t += 750.0) {
+        a.run_until(t);
+        peak_live = std::max(peak_live, a.admission().active().size());
+        std::vector<std::string> v = audit(a);
+        EXPECT_TRUE(v.empty()) << "t=" << t << "\n" << joined(v);
+      }
+      image = a.save_checkpoint();
+    }
+    core::VBundleCloud cloud(small_config());
+    arena::Arena b(&cloud, acfg);
+    b.restore_checkpoint(image);
+    std::vector<std::string> v = audit(b);
+    EXPECT_TRUE(v.empty()) << "after restore\n" << joined(v);
+    for (double t = 3750.0; t <= acfg.horizon_s; t += 750.0) {
+      b.run_until(t);
+      peak_live = std::max(peak_live, b.admission().active().size());
+      v = audit(b);
+      EXPECT_TRUE(v.empty()) << "t=" << t << "\n" << joined(v);
+    }
+    EXPECT_GT(peak_live, 1u);
+    EXPECT_GT(b.admission().stats().accepted, 0u);
+  }
 }
 
 }  // namespace

@@ -2,9 +2,16 @@
 // (admission, placement, migration, utilization snapshots).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <memory>
+#include <vector>
+
+#include "ckpt/format.h"
 #include "common/rng.h"
 #include "hostmodel/host.h"
 #include "hostmodel/tc_shaper.h"
+#include "workloads/demand.h"
 
 namespace vb::host {
 namespace {
@@ -124,10 +131,11 @@ TEST(Fleet, AdmissionControlRejectsOverbooking) {
 
 TEST(Fleet, HoldsCountAgainstAdmission) {
   Fleet f(1, 1000.0);
-  f.host(0).hold(800.0);
+  const VmSpec held{800, 800};
+  f.hold_all(0, held);
   VmId a = f.create_vm(0, VmSpec{300, 300});
   EXPECT_FALSE(f.place(a, 0));
-  f.host(0).release_hold(800.0);
+  f.release_hold_all(0, held);
   EXPECT_TRUE(f.place(a, 0));
 }
 
@@ -162,11 +170,95 @@ TEST(Fleet, MigrateConsumesHold) {
   Fleet f(2, 1000.0);
   VmId v = f.create_vm(0, VmSpec{400, 400});
   ASSERT_TRUE(f.place(v, 0));
-  f.host(1).hold_all(f.vm(v).spec);
+  f.hold_all(1, f.vm(v).spec);
   f.migrate(v, 1, /*consume_hold=*/true);
   // Hold replaced by the real reservation: still 400 total.
   EXPECT_DOUBLE_EQ(f.host(1).reserved_mbps(), 400.0);
   EXPECT_DOUBLE_EQ(f.host(1).reserved_mem_mb(), f.vm(v).spec.ram_mb);
+}
+
+// --- reservation revision contract -----------------------------------------
+
+std::vector<std::uint64_t> revs(const Fleet& f) {
+  std::vector<std::uint64_t> out;
+  for (int h = 0; h < f.num_hosts(); ++h) out.push_back(f.reservation_rev(h));
+  return out;
+}
+
+// Runs `op` and checks that it moved (upward) the revisions of exactly the
+// hosts in `touched` and left every other host's alone.
+template <typename Op>
+void expect_moves(Fleet& f, const std::vector<int>& touched, Op op,
+                  const char* what) {
+  const std::vector<std::uint64_t> before = revs(f);
+  op();
+  const std::vector<std::uint64_t> after = revs(f);
+  for (int h = 0; h < f.num_hosts(); ++h) {
+    const auto i = static_cast<std::size_t>(h);
+    bool is_touched =
+        std::find(touched.begin(), touched.end(), h) != touched.end();
+    if (is_touched) {
+      EXPECT_GT(after[i], before[i]) << what << ": host " << h;
+    } else {
+      EXPECT_EQ(after[i], before[i]) << what << ": host " << h;
+    }
+  }
+}
+
+TEST(FleetRevision, EachMutatorMovesExactlyTheHostsItTouches) {
+  Fleet f(4, 1000.0);
+  VmId a = f.create_vm(0, VmSpec{200, 400, 128});
+  VmId b = f.create_vm(0, VmSpec{300, 400, 128});
+  VmId big = f.create_vm(0, VmSpec{900, 900, 128});
+  expect_moves(f, {}, [&] { f.create_vm(0, VmSpec{100, 100}); }, "create_vm");
+  expect_moves(f, {1}, [&] { ASSERT_TRUE(f.place(a, 1)); }, "place");
+  expect_moves(f, {3}, [&] { ASSERT_TRUE(f.place(b, 3)); }, "place");
+  expect_moves(f, {}, [&] { ASSERT_FALSE(f.place(big, 1)); }, "failed place");
+  expect_moves(f, {1, 2}, [&] { f.migrate(a, 2, false); }, "migrate");
+  expect_moves(f, {0}, [&] { f.hold_all(0, f.vm(b).spec); }, "hold_all");
+  expect_moves(f, {3, 0}, [&] { f.migrate(b, 0, true); }, "migrate+hold");
+  expect_moves(f, {2}, [&] { f.unplace(a); }, "unplace");
+  expect_moves(f, {}, [&] { f.destroy_vm(a); }, "destroy unplaced");
+  expect_moves(f, {3}, [&] { f.hold_all(3, f.vm(big).spec); }, "hold_all");
+  expect_moves(f, {3}, [&] { f.release_hold_all(3, f.vm(big).spec); },
+               "release_hold_all");
+  expect_moves(f, {0}, [&] { f.destroy_vm(b); }, "destroy placed");
+}
+
+TEST(FleetRevision, DemandChangesMoveNoRevision) {
+  Fleet f(3, 1000.0);
+  VmId a = f.create_vm(0, VmSpec{200, 400, 128, 1.0, 2.0});
+  VmId c = f.create_vm(0, VmSpec{100, 400, 128});
+  ASSERT_TRUE(f.place(a, 0));
+  ASSERT_TRUE(f.place(c, 2));
+  expect_moves(f, {}, [&] { f.set_demand(a, 350.0); }, "set_demand");
+  expect_moves(f, {}, [&] { f.set_cpu_demand(a, 1.5); }, "set_cpu_demand");
+  load::DemandModel dm;
+  dm.assign(a, std::make_unique<load::ConstantDemand>(120.0));
+  dm.assign(c, std::make_unique<load::ConstantDemand>(80.0));
+  expect_moves(f, {}, [&] { dm.apply(f, 10.0); }, "DemandModel::apply");
+  EXPECT_DOUBLE_EQ(f.vm(c).demand_mbps, 80.0);
+}
+
+TEST(FleetRevision, EveryRevisionRisesAcrossRestoreIntoTheSameFleet) {
+  Fleet f(5, 1000.0);
+  VmId a = f.create_vm(0, VmSpec{200, 400, 128});
+  ASSERT_TRUE(f.place(a, 1));
+  ckpt::Writer w;
+  f.ckpt_save(w);
+  std::vector<std::uint8_t> image = w.finish();
+  // Changes after the save: the restore must invalidate whatever was cached
+  // from them, and from anything before.
+  f.hold_all(3, f.vm(a).spec);
+  const std::vector<std::uint64_t> before = revs(f);
+  ckpt::Reader r(image);
+  f.ckpt_restore(r);
+  const std::vector<std::uint64_t> after = revs(f);
+  for (std::size_t h = 0; h < before.size(); ++h) {
+    EXPECT_GT(after[h], before[h]) << "host " << h;
+  }
+  EXPECT_DOUBLE_EQ(f.host(3).reserved_mbps(), 0.0);
+  EXPECT_DOUBLE_EQ(f.host(1).reserved_mbps(), 200.0);
 }
 
 TEST(Fleet, DemandAndUtilization) {

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Builds the whole tree under ASan+UBSan (the asan-ubsan CMake preset) and
 # runs the full test suite plus the same smoke drives CI uses: the perf
-# harness in --smoke mode and a short rebalance scenario.  Any sanitizer
-# report fails the run (halt_on_error, plus exitcode-on-UB).
+# harness and the arena comparison in --smoke mode (the arena output checked
+# against its committed reference) and a short rebalance scenario.  Any
+# sanitizer report fails the run (halt_on_error, plus exitcode-on-UB).
 #
 # Usage: tools/sanitize_check.sh [extra ctest args...]
 set -euo pipefail
@@ -23,6 +24,15 @@ ctest --preset asan-ubsan "$@"
 ./build-asan/bench/perf_core --smoke --out=build-asan/BENCH_core_asan.json
 ./build-asan/tools/vbundle_sim rebalance --duration 600 --seed 7 >/dev/null
 ./build-asan/tools/vbundle_sim sipp --duration 200 --seed 7 >/dev/null
+
+# The arena campaigns (v-Bundle, tree packer with its slot cache,
+# competitive gate) under instrumentation, pinned against the committed
+# smoke reference.  ctest's bench_arena_smoke/schema do the same, but extra
+# ctest args (e.g. -L tier1) can filter them out; this step always runs.
+./build-asan/bench/arena_compare --smoke --threads=2 \
+  --out=build-asan/BENCH_arena_asan.json
+python3 tools/check_bench.py \
+  build-asan/BENCH_arena_asan.json bench/BENCH_arena.smoke.ref.json
 
 # Observability end-to-end under the sanitizers: chaos scenario with the
 # trace recorder attached, schema-validating its own exports.
